@@ -100,10 +100,13 @@ bench:
 
 # Allocation regression check, documented-but-optional like `make chaos`:
 # runs the storage-sensitive P1/P2 micro-benchmarks and the batched-join
-# P17 pair twice with -benchmem so run-to-run variance is visible next
-# to any real allocs/op drift. P17's batched allocs/op is the guard for
-# the pipeline's scratch reuse (buffers are amortised across fixpoint
-# iterations — a drift upward means a buffer stopped being recycled).
+# P17 pair, plus the materialised bound reads, twice with -benchmem so
+# run-to-run variance is visible next to any real allocs/op drift.
+# P17's batched allocs/op is the guard for the pipeline's scratch reuse
+# (buffers are amortised across fixpoint iterations — a drift upward
+# means a buffer stopped being recycled); MaterializedAnswers' allocs/op
+# guards the indexed read path (a scan or a rendering sort shows up as
+# a jump).
 # Compare the two passes by eye (allocs/op is deterministic; ns/op is
 # not); EXPERIMENTS.md records the accepted numbers. To compare HEAD
 # against a clean baseline: `git stash && make benchcheck` for the old
@@ -111,7 +114,7 @@ bench:
 benchcheck:
 	@for i in 1 2; do \
 		echo "== benchcheck pass $$i"; \
-		$(GO) test -run '^$$' -bench 'BenchmarkP1_MagicVsCounting|BenchmarkP2_CountingSetSize|BenchmarkP17_BatchedJoin' -benchmem . || exit 1; \
+		$(GO) test -run '^$$' -bench 'BenchmarkP1_MagicVsCounting|BenchmarkP2_CountingSetSize|BenchmarkP17_BatchedJoin|BenchmarkMaterializedAnswers' -benchmem . || exit 1; \
 	done
 
 # Regenerate every table in EXPERIMENTS.md.

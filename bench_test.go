@@ -7,6 +7,7 @@ package lincount_test
 // prints the corresponding result tables.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -309,6 +310,60 @@ func BenchmarkP17_BatchedJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := pq.Eval(db); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMaterializedAnswers: bound reads served from a maintained
+// materialisation, on P16's tc bands(16×20×4) shape (48,640 tc rows, at
+// most 76 answers per goal). "forward" binds the first argument and
+// "backward" the second; both probe the relation's index on the bound
+// column instead of scanning it. Run under `make benchcheck`: allocs/op
+// is the guarded number — a scan, or a sort that renders symbols, shows
+// up as a jump.
+func BenchmarkMaterializedAnswers(b *testing.B) {
+	const bands, layers, width = 16, 20, 4
+	var facts strings.Builder
+	for n := 0; n < bands; n++ {
+		for l := 0; l < layers-1; l++ {
+			for i := 0; i < width; i++ {
+				for j := 0; j < width; j++ {
+					fmt.Fprintf(&facts, "e(n%d_%d_%d,n%d_%d_%d).\n", n, l, i, n, l+1, j)
+				}
+			}
+		}
+	}
+	p, err := lincount.ParseProgram("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := lincount.NewDatabase(p)
+	if err := db.LoadFacts(facts.String()); err != nil {
+		b.Fatal(err)
+	}
+	m, err := p.Materialize(context.Background(), db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range []struct{ name, goal string }{
+		{"forward", "?- tc(n3_7_1,Y)."},
+		{"backward", "?- tc(X,n3_7_1)."},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			rows, err := m.Answers(g.goal) // builds the index
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rows) == 0 {
+				b.Fatalf("%s: no answers", g.goal)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Answers(g.goal); err != nil {
 					b.Fatal(err)
 				}
 			}

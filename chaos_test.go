@@ -792,9 +792,18 @@ func TestChaosCrashRecovery(t *testing.T) {
 
 			phase(0, numWrites)
 			// Checkpoint mid-stream: recovery below must stitch the snapshot
-			// together with the post-checkpoint log records.
-			if _, err := s.Checkpoint(ctx); err != nil {
-				t.Fatalf("checkpoint: %v", err)
+			// together with the post-checkpoint log records. An injected
+			// fault aborts a checkpoint by design (the manifest keeps the
+			// old pair), so those attempts are retried; any other error
+			// fails the test.
+			for attempt := 1; ; attempt++ {
+				_, err := s.Checkpoint(ctx)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, faultinject.ErrInjected) || attempt == 10 {
+					t.Fatalf("checkpoint (attempt %d): %v", attempt, err)
+				}
 			}
 			phase(numWrites, 2*numWrites)
 

@@ -245,14 +245,16 @@ func (r *Relation) findKey(ix *rowIndex, vals []term.Value) int32 {
 // its clone takes writes.
 func (r *Relation) CloneForAppend() *Relation {
 	c := &Relation{
-		arity:   r.arity,
-		rows:    r.rows,
-		arena:   r.arena[:len(r.arena):len(r.arena)],
-		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
+		arity: r.arity,
+		rows:  r.rows,
+		arena: r.arena[:len(r.arena):len(r.arena)],
 	}
 	c.dedup.slots = append([]RowID(nil), r.dedup.slots...)
 	c.dedup.used = r.dedup.used
+	// Readers may be building an index on r right now; the map is read
+	// only under their mutex.
 	r.indexMu.Lock()
+	c.indexes = make(map[uint64]*rowIndex, len(r.indexes))
 	for mask, ix := range r.indexes {
 		c.indexes[mask] = &rowIndex{
 			mask:  ix.mask,

@@ -395,9 +395,8 @@ func (db *Database) Ensure(pred symtab.Sym, arity int) (*Relation, error) {
 // large materialisations under small deltas.
 func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 	n := &Relation{
-		arity:   r.arity,
-		arena:   make([]term.Value, 0, len(r.arena)),
-		indexes: make(map[uint64]*rowIndex, len(r.indexes)),
+		arity: r.arity,
+		arena: make([]term.Value, 0, len(r.arena)),
 	}
 	newID := make([]RowID, r.rows)
 	run := 0 // first row of the current surviving run
@@ -441,7 +440,9 @@ func (r *Relation) RebuildWithout(drop func(RowID) bool) *Relation {
 		n.dedup.used = used
 	}
 
+	// As in CloneForAppend, readers may be building an index on r.
 	r.indexMu.Lock()
+	n.indexes = make(map[uint64]*rowIndex, len(r.indexes))
 	for mask, ix := range r.indexes {
 		n.indexes[mask] = remapIndex(ix, newID, r.rows, n.rows)
 	}

@@ -1,11 +1,13 @@
 package database
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"lincount/internal/parser"
 	"lincount/internal/symtab"
 	"lincount/internal/term"
 )
@@ -296,5 +298,49 @@ func TestSortedDeterministic(t *testing.T) {
 	}
 	if s[1][0] != sym(db, "a") || s[2][0] != sym(db, "b") {
 		t.Error("symbols not sorted by intern order")
+	}
+}
+
+// TestGroundAtomsNotInterned: facts, ground queries and write ops are
+// parsed straight into literals, so the append-only term bank gains no
+// compound per ground atom — only compound argument values are interned.
+func TestGroundAtomsNotInterned(t *testing.T) {
+	db := newDB()
+	bank := db.Bank()
+	var facts strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&facts, "e(n%d,n%d). w(n%d,%d). ", i, i+1, i, i)
+	}
+	facts.WriteString("flag. z().")
+	before := bank.Len()
+	if err := db.LoadText(facts.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parser.ParseQuery(bank, "?- e(n1,n2)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadText("e(x,y)."); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.RetractText("e(n1,n2). e(x,y)."); err != nil || n != 2 {
+		t.Fatalf("RetractText = %d, %v; want 2, nil", n, err)
+	}
+	if got := bank.Len(); got != before {
+		t.Fatalf("bank grew from %d to %d compounds on ground atoms", before, got)
+	}
+	// A compound argument is a value and is interned, once; the atom
+	// around it is not.
+	if err := db.LoadText("pt(p(1,2)). pt(p(1,2)). q(p(1,2),a)."); err != nil {
+		t.Fatal(err)
+	}
+	if got := bank.Len(); got != before+1 {
+		t.Fatalf("bank holds %d compounds, want %d (only p(1,2))", got, before+1)
+	}
+	// An atom left of an infix builtin is a term and still interned.
+	if _, err := parser.ParseRule(bank, "r(X) :- f(a) = X."); err != nil {
+		t.Fatal(err)
+	}
+	if got := bank.Len(); got != before+2 {
+		t.Fatalf("bank holds %d compounds, want %d (p(1,2) and f(a))", got, before+2)
 	}
 }

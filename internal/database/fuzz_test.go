@@ -108,6 +108,27 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Add(c)
 	}
 
+	// Term-bank seeds: ground atoms are stored as rows, not interned, so
+	// the seeds above carry few bank entries. Seed a snapshot whose
+	// arguments are nested compounds and lists, so the bank section and
+	// the row cells that reference it are corrupted too.
+	nested := New(term.NewBank(symtab.New()))
+	if err := nested.LoadText("p(f(a,g(1))). p(f(b,g(2))). q([x,y,z],h(p(2),[])). r(g(1),f(a,g(1)))."); err != nil {
+		f.Fatal(err)
+	}
+	var nbuf bytes.Buffer
+	if err := Save(&nbuf, nested); err != nil {
+		f.Fatal(err)
+	}
+	nvalid := nbuf.Bytes()
+	f.Add(nvalid)
+	f.Add(nvalid[:len(nvalid)*2/3])
+	for i := 7; i < len(nvalid); i += len(nvalid) / 12 {
+		c := append([]byte(nil), nvalid...)
+		c[i] ^= 0x21
+		f.Add(c)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := New(term.NewBank(symtab.New()))
 		if err := Load(bytes.NewReader(data), db); err != nil {

@@ -1153,24 +1153,46 @@ func (ev *evaluator) stepBuiltin(cl *compiledLit, frame []term.Value, trail *[]i
 
 // Answers matches a query goal against an evaluation result (falling back
 // to the base database for purely extensional goals) and returns the
-// matching tuples in deterministic order.
+// matching tuples in deterministic order. It scans the goal's relation:
+// a one-shot result is read once, and building an index on it would cost
+// more than the scan saves.
 func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
-	var rel *database.Relation
-	if res != nil {
-		rel = res.Derived[q.Goal.Pred]
+	return goalAnswers(res.bank, goalRelation(res.Derived, db, q.Goal.Pred), q.Goal, false)
+}
+
+// IndexedAnswers is Answers over long-lived derived relations (a
+// maintained materialisation that serves many reads): candidate rows come
+// from a probe of the relation's hash index on the goal's constant
+// columns instead of a scan. Every candidate passes the same filter, so
+// the answers and their order are exactly those of Answers.
+func IndexedAnswers(bank *term.Bank, derived map[symtab.Sym]*database.Relation, db *database.Database, q ast.Query) []database.Tuple {
+	return goalAnswers(bank, goalRelation(derived, db, q.Goal.Pred), q.Goal, true)
+}
+
+// goalRelation picks the relation a goal reads: the derived one, else the
+// base database's.
+func goalRelation(derived map[symtab.Sym]*database.Relation, db *database.Database, pred symtab.Sym) *database.Relation {
+	if rel := derived[pred]; rel != nil {
+		return rel
 	}
-	if rel == nil && db != nil {
-		rel = db.Relation(q.Goal.Pred)
+	if db != nil {
+		return db.Relation(pred)
 	}
-	if rel == nil {
+	return nil
+}
+
+// goalAnswers filters rel's rows through the goal pattern (which handles
+// repeated variables and compound arguments), clones the matches and
+// sorts them. probe selects the candidate rows by the goal's constant
+// columns instead of scanning them all.
+func goalAnswers(bank *term.Bank, rel *database.Relation, goal ast.Literal, probe bool) []database.Tuple {
+	if rel == nil || rel.Arity() != len(goal.Args) {
 		return nil
 	}
-	bank := res.bank
-	inComp := map[symtab.Sym]bool{}
 	cr, err := compileRule(bank, ast.Rule{
-		Head: q.Goal,
-		Body: []ast.Literal{q.Goal},
-	}, inComp, nil)
+		Head: goal,
+		Body: []ast.Literal{goal},
+	}, nil, nil)
 	if err != nil {
 		return nil
 	}
@@ -1183,6 +1205,15 @@ func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
 	}
 	ev := &evaluator{bank: bank}
 	it := rel.Scan()
+	if probe && cl.probeMask != 0 {
+		vals := make([]term.Value, 0, len(cl.args))
+		for j, a := range cl.args {
+			if cl.probeMask&(1<<uint(j)) != 0 {
+				vals = append(vals, ev.instantiate(a, frame))
+			}
+		}
+		it = rel.Probe(cl.probeMask, vals)
+	}
 	for id, ok := it.Next(); ok; id, ok = it.Next() {
 		t := database.Tuple(rel.Row(id))
 		mark := len(trail)
@@ -1200,20 +1231,27 @@ func Answers(res *Result, db *database.Database, q ast.Query) []database.Tuple {
 
 // SortTuplesFormatted orders tuples by their rendered text (integers still
 // compare numerically within a column). Slower than SortTuples but gives
-// the alphabetical order humans expect from query output.
+// the alphabetical order humans expect from query output. Two symbols
+// compare by their interned names and two integers by value, neither
+// allocating; only compounds and mixed kinds are rendered.
 func SortTuplesFormatted(bank *term.Bank, ts []database.Tuple) {
+	syms := bank.Symbols()
 	sort.Slice(ts, func(i, j int) bool {
 		a, b := ts[i], ts[j]
 		for k := range a {
-			if a[k] == b[k] {
+			x, y := a[k], b[k]
+			if x == y {
 				continue
 			}
-			if a[k].IsInt() && b[k].IsInt() {
-				return a[k].AsInt() < b[k].AsInt()
+			switch {
+			case x.IsInt() && y.IsInt():
+				return x.AsInt() < y.AsInt()
+			case x.IsSymbol() && y.IsSymbol():
+				// Distinct symbols have distinct names.
+				return syms.String(x.AsSymbol()) < syms.String(y.AsSymbol())
 			}
-			fa, fb := bank.Format(a[k]), bank.Format(b[k])
-			if fa != fb {
-				return fa < fb
+			if fx, fy := bank.Format(x), bank.Format(y); fx != fy {
+				return fx < fy
 			}
 		}
 		return false

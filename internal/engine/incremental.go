@@ -155,10 +155,3 @@ func (j *Joiner) Run(i, occ int, delta map[symtab.Sym]Delta, cfg JoinConfig, out
 // Stats returns the accumulated probe/inference counters of this Joiner's
 // evaluator.
 func (j *Joiner) Stats() Stats { return j.ev.stats }
-
-// NewResult wraps externally maintained derived relations as an evaluation
-// Result so that Answers can serve queries from a materialisation without
-// re-running a fixpoint.
-func NewResult(bank *term.Bank, derived map[symtab.Sym]*database.Relation) *Result {
-	return &Result{bank: bank, Derived: derived}
-}

@@ -439,8 +439,10 @@ func (m *Materialization) Count(pred symtab.Sym, t database.Tuple) int64 {
 // Answers matches a query goal against the materialised relations (falling
 // back to the base database for purely extensional goals), in the same
 // deterministic order engine.Answers produces for a fresh evaluation.
+// Reads probe an index on the goal's constant columns; docs/INTERNALS.md
+// ("Reading the materialisation") says why building it lazily is safe.
 func (m *Materialization) Answers(q ast.Query) []database.Tuple {
-	return engine.Answers(engine.NewResult(m.bank, m.derived), m.db, q)
+	return engine.IndexedAnswers(m.bank, m.derived, m.db, q)
 }
 
 // Verify rebuilds the materialisation from scratch over the same database

@@ -144,47 +144,78 @@ func (p *parser) literal() (ast.Literal, error) {
 		p.advance()
 		negated = true
 	}
-	// An atom starting with an identifier could still be the left side of
-	// an infix builtin only if it is a plain term; parse a term first and
-	// decide.
+	// An atom is an identifier with optional arguments. It goes straight
+	// into the literal: interning it as a compound would keep every ground
+	// fact and query in the append-only bank for good. Only when an infix
+	// builtin follows is it a term after all, as in f(a) = X.
 	t := p.peek()
-	lhs, err := p.term()
-	if err != nil {
-		return ast.Literal{}, err
-	}
-	if op := p.peek(); op.kind == tokPunct && infixOps[op.text] {
-		p.advance()
-		rhs, err := p.term()
+	var lhs ast.Term
+	if t.kind == tokIdent {
+		sym, args, call, err := p.atom()
 		if err != nil {
 			return ast.Literal{}, err
 		}
-		pred := p.bank.Symbols().Intern(op.text)
-		return ast.Literal{Pred: pred, Args: []ast.Term{lhs, rhs}, Negated: negated}, nil
-	}
-	// Otherwise the term must itself be an atom: a constant symbol
-	// (zero-arity predicate) or a compound with an identifier functor.
-	consSym := p.bank.Symbols().Intern(term.ListConsName)
-	switch lhs.Kind {
-	case ast.Comp:
-		if lhs.Name != consSym {
-			return ast.Literal{Pred: lhs.Name, Args: lhs.Args, Negated: negated}, nil
+		if !p.infixNext() {
+			return ast.Literal{Pred: sym, Args: args, Negated: negated}, nil
 		}
-	case ast.Const:
-		v := lhs.Value
-		if v.IsSymbol() && !p.bank.IsNil(v) {
-			return ast.Literal{Pred: v.AsSymbol(), Args: nil, Negated: negated}, nil
+		lhs = ast.C(term.Symbol(sym))
+		if call {
+			lhs = ast.Mk(p.bank, sym, args...)
 		}
-		if v.IsCompound() {
-			if c := p.bank.Deref(v); c.Functor != consSym {
-				args := make([]ast.Term, len(c.Args))
-				for i, a := range c.Args {
-					args[i] = ast.C(a)
-				}
-				return ast.Literal{Pred: c.Functor, Args: args, Negated: negated}, nil
-			}
+	} else {
+		var err error
+		if lhs, err = p.term(); err != nil {
+			return ast.Literal{}, err
+		}
+		// Any other term (an integer, a variable, a list) is no atom.
+		if !p.infixNext() {
+			return ast.Literal{}, p.errAt(t, "expected a literal")
 		}
 	}
-	return ast.Literal{}, p.errAt(t, "expected a literal")
+	op := p.advance()
+	rhs, err := p.term()
+	if err != nil {
+		return ast.Literal{}, err
+	}
+	pred := p.bank.Symbols().Intern(op.text)
+	return ast.Literal{Pred: pred, Args: []ast.Term{lhs, rhs}, Negated: negated}, nil
+}
+
+// infixNext reports whether the next token is an infix builtin operator.
+func (p *parser) infixNext() bool {
+	t := p.peek()
+	return t.kind == tokPunct && infixOps[t.text]
+}
+
+// atom parses an identifier and its optional parenthesised arguments; call
+// reports whether the parentheses were there (p() is a compound, p a
+// symbol). Nothing is interned but the names.
+func (p *parser) atom() (sym symtab.Sym, args []ast.Term, call bool, err error) {
+	sym = p.bank.Symbols().Intern(p.advance().text)
+	if nt := p.peek(); nt.kind != tokPunct || nt.text != "(" {
+		return sym, nil, false, nil
+	}
+	p.advance()
+	if p.peek().kind == tokPunct && p.peek().text == ")" {
+		p.advance()
+		return sym, nil, true, nil
+	}
+	for {
+		a, err := p.term()
+		if err != nil {
+			return sym, nil, true, err
+		}
+		args = append(args, a)
+		if p.peek().kind == tokPunct && p.peek().text == "," {
+			p.advance()
+			continue
+		}
+		break
+	}
+	if err := p.expect(")"); err != nil {
+		return sym, nil, true, err
+	}
+	return sym, args, true, nil
 }
 
 func (p *parser) term() (ast.Term, error) {
@@ -218,30 +249,11 @@ func (p *parser) term() (ast.Term, error) {
 		}
 		return ast.V(p.bank.Symbols().Intern(name)), nil
 	case t.kind == tokIdent:
-		p.advance()
-		sym := p.bank.Symbols().Intern(t.text)
-		if nt := p.peek(); nt.kind == tokPunct && nt.text == "(" {
-			p.advance()
-			var args []ast.Term
-			if p.peek().kind == tokPunct && p.peek().text == ")" {
-				p.advance()
-			} else {
-				for {
-					a, err := p.term()
-					if err != nil {
-						return ast.Term{}, err
-					}
-					args = append(args, a)
-					if p.peek().kind == tokPunct && p.peek().text == "," {
-						p.advance()
-						continue
-					}
-					break
-				}
-				if err := p.expect(")"); err != nil {
-					return ast.Term{}, err
-				}
-			}
+		sym, args, call, err := p.atom()
+		if err != nil {
+			return ast.Term{}, err
+		}
+		if call {
 			return ast.Mk(p.bank, sym, args...), nil
 		}
 		return ast.C(term.Symbol(sym)), nil

@@ -594,9 +594,10 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	defer s.reg.end(slot)
 
 	// Auto reads on a maintained server are served straight from the
-	// materialisation: a scan or index probe over the already-derived
-	// relations, no fixpoint. Explicit strategies and traced requests
-	// still evaluate — they are asking for a specific computation.
+	// materialisation, no fixpoint: an index probe on the goal's bound
+	// columns, a scan when none is bound (Materialization.Answers).
+	// Explicit strategies and traced requests still evaluate — they are
+	// asking for a specific computation.
 	if snap := s.snap.Load(); snap.Mat != nil && !req.Trace &&
 		(req.Strategy == "" || req.Strategy == "auto") {
 		s.reg.setRunning(slot, "materialized", snap.Epoch)
