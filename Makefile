@@ -100,9 +100,9 @@ bench:
 
 # Allocation regression check, documented-but-optional like `make chaos`:
 # runs the storage-sensitive P1/P2 micro-benchmarks and the batched-join
-# P17 pair, plus the materialised bound reads, twice with -benchmem so
-# run-to-run variance is visible next to any real allocs/op drift.
-# P17's batched allocs/op is the guard for the pipeline's scratch reuse
+# P17 benchmark, plus the materialised bound reads, twice with -benchmem
+# so run-to-run variance is visible next to any real allocs/op drift.
+# P17's allocs/op guards the batched pipeline's buffer reuse only
 # (buffers are amortised across fixpoint iterations — a drift upward
 # means a buffer stopped being recycled); MaterializedAnswers' allocs/op
 # guards the indexed read path (a scan or a rendering sort shows up as

@@ -260,12 +260,11 @@ func BenchmarkP14_PreparedVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkP17_BatchedJoin: the batched streaming pipeline against the
-// tuple-at-a-time legacy path on a probe-bound 4-literal recursive rule
-// (the P17 wide shape at reduced size). Run under `make benchcheck`:
-// allocs/op is the guarded number — the batched path amortises its
-// buffers across iterations, so a drift upward means a scratch buffer
-// stopped being reused.
+// BenchmarkP17_BatchedJoin: the batched streaming pipeline on a
+// probe-bound 4-literal recursive rule (the P17 wide shape at reduced
+// size). Run under `make benchcheck`: allocs/op is the guarded number —
+// the pipeline amortises its buffers across iterations, so a drift
+// upward means a scratch buffer stopped being reused.
 func BenchmarkP17_BatchedJoin(b *testing.B) {
 	const src = "p(X,Y) :- s(X,Y).\np(X,W) :- p(X,Y), a(Y,Z), a2(Z,U), b(U,W).\n"
 	var facts strings.Builder
@@ -290,31 +289,22 @@ func BenchmarkP17_BatchedJoin(b *testing.B) {
 	if err := db.LoadFacts(facts.String()); err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts []lincount.Option
-	}{
-		{"legacy", []lincount.Option{lincount.WithBatchedJoin(false)}},
-		{"batched", nil},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			pq, err := lincount.Prepare(p, "?- p(x0,W).", lincount.SemiNaive, m.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
+	b.Run("batched", func(b *testing.B) {
+		pq, err := lincount.Prepare(p, "?- p(x0,W).", lincount.SemiNaive)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pq.Eval(db); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, err := pq.Eval(db); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pq.Eval(db); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMaterializedAnswers: bound reads served from a maintained

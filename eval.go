@@ -33,8 +33,6 @@ type evalConfig struct {
 	maxCountingTuples int
 	maxDuration       time.Duration
 	parallel          bool
-	joinWorkers       int
-	noBatch           bool
 	noCache           bool
 	trace             func(TraceEvent)
 	faultSeed         int64
@@ -68,29 +66,6 @@ type evalConfig struct {
 // cancels the sibling strata, which drain before Eval returns.
 func WithParallel() Option {
 	return func(c *evalConfig) { c.parallel = true }
-}
-
-// WithJoinWorkers partitions wide rule runs of the engine strategies
-// across n workers: the delta RowID window of a rule's source literal is
-// split into contiguous sub-ranges evaluated concurrently into private
-// buffers and merged in partition order, so results — including head
-// relation row order — are byte-identical to a serial evaluation. Rules
-// that build compound terms always run serially, as do narrow windows
-// (the fork overhead would dominate). 0 or 1 disables partitioning.
-// Composes with WithParallel: strata run concurrently and wide rules
-// within a stratum partition further.
-func WithJoinWorkers(n int) Option {
-	return func(c *evalConfig) { c.joinWorkers = n }
-}
-
-// WithBatchedJoin toggles the batched streaming join pipeline of the
-// engine strategies (on by default): rule bodies execute as a pipeline
-// of operators over batches of binding frames, probing literals through
-// cached pre-sized index handles. Passing false falls back to the
-// tuple-at-a-time path — the differential-testing oracle and benchmark
-// baseline. Fixpoints are identical either way.
-func WithBatchedJoin(on bool) Option {
-	return func(c *evalConfig) { c.noBatch = !on }
 }
 
 // WithoutPlanCache makes this evaluation bypass the program's plan
@@ -346,9 +321,9 @@ func evalCore(ctx context.Context, p *Program, db *Database, q ast.Query, strate
 // cache-control flags are deliberately excluded.
 func (c *evalConfig) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%t|%d|%t|%d|%s",
+	fmt.Fprintf(h, "%d|%d|%d|%d|%t|%d|%s",
 		c.maxIterations, c.maxFacts, c.maxCountingTuples, c.maxDuration,
-		c.parallel, c.joinWorkers, c.noBatch, c.faultSeed, c.faultSpec)
+		c.parallel, c.faultSeed, c.faultSpec)
 	return h.Sum64()
 }
 
@@ -680,8 +655,6 @@ func engineOpts(cfg evalConfig, naive bool) engine.Options {
 		MaxIterations:   cfg.maxIterations,
 		MaxDerivedFacts: cfg.maxFacts,
 		Parallel:        cfg.parallel,
-		JoinWorkers:     cfg.joinWorkers,
-		NoBatch:         cfg.noBatch,
 		Inject:          cfg.inject,
 		Tracer:          cfg.tracer,
 		Profile:         cfg.profile,

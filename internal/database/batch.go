@@ -134,7 +134,8 @@ func (ix Index) ProbeRange(vals []term.Value, lo, hi RowID) RowIter {
 // are emitted grouped by key, keys in batch order, rows in ascending
 // RowID order within a key — exactly the order nkeys sequential
 // ProbeRange calls would yield, which is what keeps the batched join
-// pipeline's emission order identical to the row-at-a-time path's.
+// pipeline's emission order identical to a depth-first row-at-a-time
+// join's.
 func (ix Index) ProbeRangeBatch(nkeys int, keys []term.Value, lo, hi RowID, dst []RowMatch) []RowMatch {
 	r := ix.r
 	if hi > RowID(r.rows) {

@@ -84,18 +84,6 @@ type Options struct {
 	// same way relation lengths do. Estimates are hints: a wrong one
 	// costs memory or a rehash, never correctness.
 	Sizes SizeHint
-	// JoinWorkers > 1 partitions a wide rule's delta RowID range across
-	// that many workers (sub-stratum parallelism). Workers evaluate
-	// disjoint contiguous sub-ranges of the source window into private
-	// emission buffers that are merged in partition order, so the head
-	// relation's contents and RowID assignment are byte-identical to a
-	// serial run. Rules that build compound terms run serially (the term
-	// bank is not synchronized). 0 or 1 disables partitioning.
-	JoinWorkers int
-	// NoBatch disables the batched streaming join pipeline and evaluates
-	// rule bodies tuple-at-a-time (the pre-batching execution path, kept
-	// for differential testing and as the before-side of benchmarks).
-	NoBatch bool
 }
 
 // SizeHint estimates a predicate's cardinality; see Options.Sizes.
@@ -134,9 +122,6 @@ type Stats struct {
 	DerivedFacts int64
 	Probes       int64
 	ArenaValues  int64
-	// ParallelRuns counts rule runs that were partitioned across the
-	// join worker pool (Options.JoinWorkers).
-	ParallelRuns int64
 }
 
 // Add accumulates other into s.
@@ -147,7 +132,6 @@ func (s *Stats) Add(other Stats) {
 	s.DerivedFacts += other.DerivedFacts
 	s.Probes += other.Probes
 	s.ArenaValues += other.ArenaValues
-	s.ParallelRuns += other.ParallelRuns
 }
 
 // RuleStat is one rule's profiling record, collected only when a Tracer
@@ -226,38 +210,9 @@ type evaluator struct {
 	// global cap there, not a per-component approximation.
 	factTotal *atomic.Int64
 
-	// scratches holds the per-evaluation join buffers, one per compiled
-	// rule (lazily built; see joinScratch). Buffers belong to the
-	// evaluator, not the compiled rule, so one compiled program is safe
-	// to evaluate from many goroutines — each gets its own evaluator and
-	// therefore its own scratch.
-	scratches map[*compiledRule]*joinScratch
 	// execs caches the batched pipeline state per rule variant
 	// (deltaOcc+1 indexes the inner slice; 0 is the default order).
 	execs map[*compiledRule][]*ruleExec
-
-	// Incremental-maintenance hooks (see incremental.go). All zero for
-	// ordinary evaluations, costing one branch per occurrence setup.
-	//
-	// windowed switches join variants to the exact-once counting read
-	// discipline: a non-delta occurrence of a pred present in the delta
-	// map reads [0, hi) when it precedes the delta occurrence in the
-	// source body and [0, lo) when it follows it, so each derivation of
-	// the round is enumerated exactly once (at its last newest-atom
-	// position) instead of at least once.
-	windowed bool
-	// rowState, when non-nil, holds per-row lifecycle states for the
-	// deletion phases: -1 = logically deleted, 0 = original row, g ≥ 1 =
-	// rederived in backward-pass round g. Occurrences are filtered to
-	// rows with 0 ≤ state ≤ bound; filterPrefix/filterSuffix arm the
-	// filter per side of the delta occurrence, with missing preds and
-	// rows past the slice (appended after state capture) treated as live
-	// originals.
-	rowState     map[symtab.Sym][]int32
-	filterPrefix bool
-	filterSuffix bool
-	prefixBound  int32
-	suffixBound  int32
 }
 
 // Eval computes the minimal model of p over db. Facts embedded in the
@@ -711,13 +666,13 @@ func (ev *evaluator) countFact() int64 {
 // profile and, when a tracer is present, recorded as a span.
 func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
 	if ev.prof == nil {
-		return ev.runRuleFast(cr, deltaOcc, delta, grew)
+		return ev.runRuleBatched(cr, deltaOcc, delta, grew)
 	}
 	p := ev.profFor(cr)
 	sp := ev.tracer.BeginTID("engine.rule", p.Rule, ev.tid)
 	inf0, df0 := ev.stats.Inferences, ev.stats.DerivedFacts
 	start := time.Now()
-	err := ev.runRuleFast(cr, deltaOcc, delta, grew)
+	err := ev.runRuleBatched(cr, deltaOcc, delta, grew)
 	p.Duration += time.Since(start)
 	p.Runs++
 	p.Inferences += ev.stats.Inferences - inf0
@@ -725,294 +680,6 @@ func (ev *evaluator) runRule(cr *compiledRule, deltaOcc int, delta map[symtab.Sy
 	sp.End(obsv.A("inferences", ev.stats.Inferences-inf0),
 		obsv.A("facts", ev.stats.DerivedFacts-df0))
 	return err
-}
-
-func (ev *evaluator) runRuleFast(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
-	// The batched streaming pipeline (pipeline.go) covers ordinary
-	// evaluations; the incremental engine's windowed / row-state read
-	// disciplines stay on the tuple-at-a-time path, as does NoBatch.
-	if !ev.opts.NoBatch && !ev.windowed && ev.rowState == nil {
-		return ev.runRuleBatched(cr, deltaOcc, delta, grew)
-	}
-	headRel := ev.derived[cr.headPred]
-	return ev.join(cr, deltaOcc, delta, func(t database.Tuple) error {
-		ev.stats.Inferences++
-		if err := ev.check.Tick(); err != nil {
-			return err
-		}
-		if headRel.Insert(t) {
-			ev.stats.DerivedFacts++
-			if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
-				return err
-			}
-			if n := ev.countFact(); n > ev.maxFacts {
-				return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
-			}
-			if grew != nil {
-				*grew = true
-			}
-		}
-		return nil
-	})
-}
-
-// joinScratch holds one rule's reusable join buffers for one evaluator:
-// the binding frame, probe scratch, head buffer, trail, and the cached
-// index handles (by litID) that let repeated probes of one literal skip
-// the relation's index mutex and map lookup. Scratch is per-evaluation
-// state — compiled rules are immutable and shareable across goroutines.
-type joinScratch struct {
-	frame   []term.Value // one slot per variable
-	scratch []term.Value // probe/negation values, windowed by scratchOff
-	headBuf []term.Value // the emitted head tuple, reused across solutions
-	trail   []int
-	idx     []litIndex // cached index handles, indexed by litID
-	inUse   bool
-}
-
-// litIndex caches one literal's resolved index handle; rel records which
-// relation it was resolved against (relations can change identity across
-// runs — clones, rebuilt stores — so the handle revalidates by pointer).
-type litIndex struct {
-	rel *database.Relation
-	ix  database.Index
-}
-
-func newJoinScratch(cr *compiledRule) *joinScratch {
-	return &joinScratch{
-		frame:   make([]term.Value, cr.nslots),
-		scratch: make([]term.Value, cr.scratchLen),
-		headBuf: make([]term.Value, len(cr.head)),
-		idx:     make([]litIndex, cr.nlits),
-	}
-}
-
-// scratchFor returns (creating if needed) this evaluator's scratch for cr.
-func (ev *evaluator) scratchFor(cr *compiledRule) *joinScratch {
-	if sc, ok := ev.scratches[cr]; ok {
-		return sc
-	}
-	if ev.scratches == nil {
-		ev.scratches = make(map[*compiledRule]*joinScratch)
-	}
-	sc := newJoinScratch(cr)
-	ev.scratches[cr] = sc
-	return sc
-}
-
-// probeIndex resolves (with caching) the index handle for a relation
-// literal's probe against rel, pre-sized from the compile-time estimate.
-func (sc *joinScratch) probeIndex(cl *compiledLit, rel *database.Relation) database.Index {
-	ci := &sc.idx[cl.litID]
-	if ci.rel != rel {
-		ci.rel = rel
-		ci.ix = rel.IndexFor(cl.probeMask, cl.expect)
-	}
-	return ci.ix
-}
-
-// join runs the nested-loop index join for one rule variant, calling out for
-// every successful body instantiation. The hot path is allocation-free: the
-// binding frame, the probe values and the emitted head tuple live in the
-// evaluator's per-rule joinScratch, index probes return arena iterators,
-// and literal matching reads zero-copy row views. The head tuple passed to
-// out is reused across solutions — out must copy it to retain it (Insert
-// copies into the relation arena).
-func (ev *evaluator) join(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, out func(database.Tuple) error) error {
-	order, deltaBodyIdx := cr.orderFor(deltaOcc)
-	sc := ev.scratchFor(cr)
-	if sc.inUse {
-		// Reentrant use of the same compiled rule (a Solve callback
-		// re-entering its own site): fall back to fresh buffers.
-		sc = newJoinScratch(cr)
-	} else {
-		sc.inUse = true
-		defer func() { sc.inUse = false }()
-	}
-	frame, scratch, headBuf := sc.frame, sc.scratch, sc.headBuf
-	trail := sc.trail[:0]
-	defer func() { sc.trail = trail[:0] }()
-	for i := range frame {
-		frame[i] = noValue
-	}
-
-	var step func(i int) error
-	step = func(i int) error {
-		if i == len(order) {
-			t := database.Tuple(headBuf)
-			for j, hp := range cr.head {
-				t[j] = ev.instantiate(hp, frame)
-			}
-			return out(t)
-		}
-		cl := &order[i]
-		switch cl.kind {
-		case litBuiltin:
-			return ev.stepBuiltin(cl, frame, &trail, func() error { return step(i + 1) })
-		case litNegated:
-			probe := scratch[cl.scratchOff : cl.scratchOff+len(cl.args)]
-			for j, a := range cl.args {
-				probe[j] = ev.instantiate(a, frame)
-			}
-			// Contains hashes the probe against the dedup table directly;
-			// no key is materialized.
-			rel := ev.readRel(cl.pred)
-			if rel != nil && rel.Contains(database.Tuple(probe)) {
-				return nil
-			}
-			return step(i + 1)
-		default:
-			var rel *database.Relation
-			dv := deltaView{lo: 0, hi: -1}
-			isDelta := deltaBodyIdx >= 0 && cl.bodyIdx == deltaBodyIdx
-			// prefix is the occurrence's side of the delta occurrence in
-			// source-body order — the canonical order of the exact-once
-			// counting discipline. With no delta (deltaBodyIdx -1) every
-			// occurrence counts as suffix.
-			prefix := cl.bodyIdx < deltaBodyIdx
-			ranged := isDelta
-			if isDelta {
-				dv = delta[cl.pred]
-				rel = dv.rel
-			} else {
-				rel = ev.readRel(cl.pred)
-				if ev.windowed {
-					if wv, ok := delta[cl.pred]; ok {
-						// Counting window: the new side [0, hi) before the
-						// delta occurrence, the old side [0, lo) after it.
-						rel = wv.rel
-						ranged = true
-						if prefix {
-							dv = deltaView{rel: rel, lo: 0, hi: wv.hi}
-						} else {
-							dv = deltaView{rel: rel, lo: 0, hi: wv.lo}
-						}
-					}
-				}
-			}
-			if rel == nil || rel.Len() == 0 {
-				return nil
-			}
-			var st []int32
-			var stBound int32
-			if ev.rowState != nil && !isDelta {
-				if (prefix && ev.filterPrefix) || (!prefix && ev.filterSuffix) {
-					if s, ok := ev.rowState[cl.pred]; ok {
-						st = s
-						if prefix {
-							stBound = ev.prefixBound
-						} else {
-							stBound = ev.suffixBound
-						}
-					}
-				}
-			}
-			mark := len(trail)
-			var it database.RowIter
-			if cl.probeMask != 0 {
-				probe := scratch[cl.scratchOff : cl.scratchOff : cl.scratchOff+len(cl.args)]
-				for j, a := range cl.args {
-					if cl.probeMask&(1<<uint(j)) != 0 {
-						probe = append(probe, ev.instantiate(a, frame))
-					}
-				}
-				ev.stats.Probes++
-				if err := ev.check.Tick(); err != nil {
-					return err
-				}
-				if err := ev.inject.Hit(faultinject.SiteEngineProbe); err != nil {
-					return err
-				}
-				// Probe through the per-evaluation cached index handle:
-				// no mutex, no map lookup, pre-sized on first build.
-				ix := sc.probeIndex(cl, rel)
-				if ranged {
-					it = ix.ProbeRange(probe, dv.lo, dv.hi)
-				} else {
-					it = ix.ProbeRange(probe, 0, database.RowID(rel.Len()))
-				}
-			} else {
-				ev.stats.Probes++
-				if err := ev.check.Tick(); err != nil {
-					return err
-				}
-				if err := ev.inject.Hit(faultinject.SiteEngineProbe); err != nil {
-					return err
-				}
-				if ranged {
-					it = rel.ScanRange(dv.lo, dv.hi)
-				} else {
-					it = rel.Scan()
-				}
-			}
-			for id, ok := it.Next(); ok; id, ok = it.Next() {
-				if st != nil && int(id) < len(st) {
-					if s := st[id]; s < 0 || s > stBound {
-						continue
-					}
-				}
-				if ev.matchTuple(cl, database.Tuple(rel.Row(id)), frame, &trail) {
-					if err := step(i + 1); err != nil {
-						return err
-					}
-				}
-				unwind(frame, &trail, mark)
-			}
-			return nil
-		}
-	}
-	return step(0)
-}
-
-func unwind(frame []term.Value, trail *[]int, mark int) {
-	for len(*trail) > mark {
-		s := (*trail)[len(*trail)-1]
-		*trail = (*trail)[:len(*trail)-1]
-		frame[s] = noValue
-	}
-}
-
-// matchTuple unifies every literal argument with the tuple, extending frame
-// and trail. On failure the caller unwinds to its mark.
-func (ev *evaluator) matchTuple(cl *compiledLit, t database.Tuple, frame []term.Value, trail *[]int) bool {
-	if len(t) != len(cl.args) {
-		return false
-	}
-	for j, a := range cl.args {
-		if !ev.match(a, t[j], frame, trail) {
-			return false
-		}
-	}
-	return true
-}
-
-// match unifies a pattern with a ground value.
-func (ev *evaluator) match(p pat, v term.Value, frame []term.Value, trail *[]int) bool {
-	switch p.kind {
-	case ast.Const:
-		return p.val == v
-	case ast.Var:
-		if frame[p.slot] != noValue {
-			return frame[p.slot] == v
-		}
-		frame[p.slot] = v
-		*trail = append(*trail, p.slot)
-		return true
-	default:
-		if !v.IsCompound() {
-			return false
-		}
-		c := ev.bank.Deref(v)
-		if c.Functor != p.functor || len(c.Args) != len(p.args) {
-			return false
-		}
-		for j, a := range p.args {
-			if !ev.match(a, c.Args[j], frame, trail) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // instantiate builds the ground value of a pattern; every variable in it
@@ -1033,121 +700,6 @@ func (ev *evaluator) instantiate(p pat, frame []term.Value) term.Value {
 			args[j] = ev.instantiate(a, frame)
 		}
 		return ev.bank.Compound(p.functor, args...)
-	}
-}
-
-// stepBuiltin evaluates a builtin literal, possibly binding one variable,
-// then calls cont. The binding is recorded on the trail.
-func (ev *evaluator) stepBuiltin(cl *compiledLit, frame []term.Value, trail *[]int, cont func() error) error {
-	x, y := cl.args[0], cl.args[1]
-	gx, gy := x.groundIn(frame), y.groundIn(frame)
-
-	bindVar := func(p pat, v term.Value) bool {
-		if frame[p.slot] != noValue {
-			return frame[p.slot] == v
-		}
-		frame[p.slot] = v
-		*trail = append(*trail, p.slot)
-		return true
-	}
-
-	switch cl.op {
-	case opEq:
-		switch {
-		case gx && gy:
-			if ev.instantiate(x, frame) == ev.instantiate(y, frame) {
-				return cont()
-			}
-			return nil
-		case gx:
-			// y is a plain variable by the ordering precondition.
-			mark := len(*trail)
-			if bindVar(y, ev.instantiate(x, frame)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		default:
-			mark := len(*trail)
-			if bindVar(x, ev.instantiate(y, frame)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		}
-	case opSucc:
-		// The 62-bit Value encoding bounds the successor's range; at the
-		// boundary the builtin simply fails instead of overflowing.
-		const maxTermInt = 1<<61 - 1
-		const minTermInt = -(1 << 61)
-		switch {
-		case gx && gy:
-			a, b := ev.instantiate(x, frame), ev.instantiate(y, frame)
-			if a.IsInt() && b.IsInt() && a.AsInt() < maxTermInt && b.AsInt() == a.AsInt()+1 {
-				return cont()
-			}
-			return nil
-		case gx:
-			a := ev.instantiate(x, frame)
-			if !a.IsInt() || a.AsInt() >= maxTermInt {
-				return nil
-			}
-			mark := len(*trail)
-			if bindVar(y, term.Int(a.AsInt()+1)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		default:
-			b := ev.instantiate(y, frame)
-			if !b.IsInt() || b.AsInt() <= minTermInt {
-				return nil
-			}
-			mark := len(*trail)
-			if bindVar(x, term.Int(b.AsInt()-1)) {
-				if err := cont(); err != nil {
-					return err
-				}
-			}
-			unwind(frame, trail, mark)
-			return nil
-		}
-	default:
-		a, b := ev.instantiate(x, frame), ev.instantiate(y, frame)
-		var c int
-		if a.IsInt() && b.IsInt() {
-			switch {
-			case a.AsInt() < b.AsInt():
-				c = -1
-			case a.AsInt() > b.AsInt():
-				c = 1
-			}
-		} else {
-			c = term.Compare(a, b)
-		}
-		ok := false
-		switch cl.op {
-		case opNeq:
-			ok = c != 0
-		case opLt:
-			ok = c < 0
-		case opLe:
-			ok = c <= 0
-		case opGt:
-			ok = c > 0
-		case opGe:
-			ok = c >= 0
-		}
-		if ok {
-			return cont()
-		}
-		return nil
 	}
 }
 
@@ -1198,11 +750,7 @@ func goalAnswers(bank *term.Bank, rel *database.Relation, goal ast.Literal, prob
 	}
 	frame := make([]term.Value, cr.nslots)
 	var out []database.Tuple
-	var trail []int
 	cl := &cr.defaultOrder[0]
-	for i := range frame {
-		frame[i] = noValue
-	}
 	ev := &evaluator{bank: bank}
 	it := rel.Scan()
 	if probe && cl.probeMask != 0 {
@@ -1214,16 +762,21 @@ func goalAnswers(bank *term.Bank, rel *database.Relation, goal ast.Literal, prob
 		}
 		it = rel.Probe(cl.probeMask, vals)
 	}
+rows:
 	for id, ok := it.Next(); ok; id, ok = it.Next() {
 		t := database.Tuple(rel.Row(id))
-		mark := len(trail)
-		if ev.matchTuple(cl, t, frame, &trail) {
-			// Clone is required: answers escape to the public API and must
-			// not alias the relation arena, which the evaluator may later
-			// Reset or grow while the caller still holds them.
-			out = append(out, t.Clone())
+		for i := range frame {
+			frame[i] = noValue
 		}
-		unwind(frame, &trail, mark)
+		for j, a := range cl.args {
+			if !ev.matchFrame(a, t[j], frame) {
+				continue rows
+			}
+		}
+		// Clone is required: answers escape to the public API and must
+		// not alias the relation arena, which the evaluator may later
+		// Reset or grow while the caller still holds them.
+		out = append(out, t.Clone())
 	}
 	SortTuplesFormatted(bank, out)
 	return out

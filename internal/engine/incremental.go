@@ -119,11 +119,13 @@ func (j *Joiner) VariantBodyIdx(i, occ int) int { return j.rules[i].recBodyIdx[o
 func (j *Joiner) Src(i int) ast.Rule { return j.rules[i].src }
 
 // Run evaluates variant occ of rule i (occ < 0 selects the default order
-// with no delta substitution) under cfg, calling out for every body
-// solution's head tuple. The tuple is reused across solutions; out must
-// copy it to retain it. Duplicate derivations are NOT deduplicated — each
-// distinct body instantiation produces one call — which is exactly what
-// derivation counting needs.
+// with no delta substitution) under cfg on the batched pipeline, calling
+// out for every body solution's head tuple. Every read window is fixed
+// when the run starts, so rows out inserts are not seen by this run. The
+// tuple is reused across solutions; out must copy it to retain it.
+// Duplicate derivations are NOT deduplicated — each distinct body
+// instantiation produces one call — which is exactly what derivation
+// counting needs. out must not re-enter Run.
 func (j *Joiner) Run(i, occ int, delta map[symtab.Sym]Delta, cfg JoinConfig, out func(database.Tuple) error) error {
 	ev := j.ev
 	var dv map[symtab.Sym]deltaView
@@ -133,25 +135,11 @@ func (j *Joiner) Run(i, occ int, delta map[symtab.Sym]Delta, cfg JoinConfig, out
 			dv[p] = deltaView{rel: d.Rel, lo: d.Lo, hi: d.Hi}
 		}
 	}
-	ev.windowed = cfg.Windowed
-	ev.rowState = cfg.RowState
-	ev.filterPrefix = cfg.FilterPrefix
-	ev.filterSuffix = cfg.FilterSuffix
-	ev.prefixBound = cfg.PrefixBound
-	ev.suffixBound = cfg.SuffixBound
-	defer func() {
-		ev.windowed = false
-		ev.rowState = nil
-		ev.filterPrefix, ev.filterSuffix = false, false
-		ev.prefixBound, ev.suffixBound = 0, 0
-	}()
 	deltaOcc := occ
 	if occ >= 0 && occ >= j.rules[i].nRecOccur() {
 		deltaOcc = -1
 	}
-	return ev.join(j.rules[i], deltaOcc, dv, out)
+	re := ev.execFor(j.rules[i], deltaOcc)
+	re.begin(dv, &cfg)
+	return re.run(out)
 }
-
-// Stats returns the accumulated probe/inference counters of this Joiner's
-// evaluator.
-func (j *Joiner) Stats() Stats { return j.ev.stats }

@@ -1,37 +1,35 @@
 package engine
 
-// Batched, streaming join execution. runRuleFast routes ordinary rule
-// runs here: instead of the recursive tuple-at-a-time walk in join(),
-// each rule body ordering becomes a pipeline of streaming operators, one
-// per literal, connected by fixed-capacity batches of binding frames.
-// The source operator consumes the delta as a RowID range; every
-// relation operator instantiates the probe keys for a whole input batch,
-// resolves them in one ProbeRangeBatch against a cached, pre-sized index
-// handle, and extends the surviving frames; builtins and negations are
-// batch filters; the sink instantiates head tuples into a rule-local
-// emission relation.
+// Batched, streaming join execution — the engine's one join kernel. Each
+// rule body ordering becomes a pipeline of streaming operators, one per
+// literal, connected by fixed-capacity batches of binding frames. The
+// source operator consumes the delta as a RowID range; every relation
+// operator instantiates the probe keys for a whole input batch, resolves
+// them in one ProbeRangeBatch against a cached, pre-sized index handle,
+// and extends the surviving frames; builtins and negations are batch
+// filters; the sink instantiates head tuples.
 //
-// Deferred insertion is the pipeline's key discipline: head tuples are
-// collected (deduplicated) in the emission relation and flushed into the
-// head relation only after the join completes. During a run every
-// relation the pipeline reads is therefore frozen, which is what makes
-// the cached index handles sound and the delta range partitionable: with
-// JoinWorkers > 1 a wide source window is split into contiguous
-// sub-ranges evaluated concurrently into private emission buffers,
-// merged in partition order. Each operator preserves its input order and
-// expands matches in ascending RowID order, so the concatenated
-// emissions of the partitions equal the serial emission sequence exactly
-// — the head relation's contents and RowID assignment are byte-identical
-// to a serial run (see docs/INTERNALS.md § Batched execution pipeline).
+// Every relation the pipeline reads is resolved to a RowID window by
+// begin() before the run starts, so rows appended during the run (the
+// head relation's own growth, or a callback sink's inserts) are never
+// observed by it. begin() also resolves the incremental engine's two
+// read disciplines (JoinConfig): the windowed exact-once counting rule
+// and the row-state filter.
 //
-// The incremental engine's windowed and row-state read disciplines stay
-// on the tuple-at-a-time join() path, as do Matcher/PreparedSolve.
+// The sink is either the head relation (nil sink: deduplicating insert
+// with derived-fact accounting) or a caller callback that receives every
+// body solution's head tuple without deduplication (Joiner.Run,
+// PreparedSolve.Solve). The callback travels as a parameter through
+// run → feed → push → emitHead and is never stored in ruleExec: in a
+// field it would escape, moving every caller's closure (and whatever it
+// captures) to the heap.
+//
+// Each operator preserves its input order and expands matches in
+// ascending RowID order, so solutions reach the sink in the same order a
+// row-at-a-time depth-first join would produce them (see
+// docs/INTERNALS.md § Batched execution pipeline).
 
 import (
-	"context"
-	"runtime/debug"
-	"sync"
-
 	"lincount/internal/ast"
 	"lincount/internal/database"
 	"lincount/internal/faultinject"
@@ -40,25 +38,21 @@ import (
 	"lincount/internal/term"
 )
 
-const (
-	// batchFrames is the operator batch size: how many binding frames a
-	// level buffers before pushing them downstream. Large enough to
-	// amortize per-batch costs, small enough to stay cache-resident.
-	batchFrames = 256
-	// joinParallelMinRows is the minimum source window width worth
-	// partitioning across the worker pool; below it the fork/merge
-	// overhead outweighs the parallelism.
-	joinParallelMinRows = 2048
-	// maxJoinWorkers caps Options.JoinWorkers.
-	maxJoinWorkers = 64
-)
+// batchFrames is the operator batch size: how many binding frames a
+// level buffers before pushing them downstream. Large enough to amortize
+// per-batch costs, small enough to stay cache-resident.
+const batchFrames = 256
 
-// Integer bounds of the 62-bit term.Value encoding (shared with
-// stepBuiltin's succ handling).
+// Integer bounds of the 62-bit term.Value encoding: at the boundary succ
+// simply fails instead of overflowing.
 const (
 	succMaxInt = 1<<61 - 1
 	succMinInt = -(1 << 61)
 )
+
+// headSink receives one body solution's head tuple. The tuple is reused
+// across solutions; a sink must copy it to retain it.
+type headSink func(database.Tuple) error
 
 // execLevel is the runtime state of one pipeline operator: the per-run
 // source resolution (relation, RowID window, index handle) and the
@@ -67,6 +61,11 @@ type execLevel struct {
 	// Resolved by begin() each run.
 	rel    *database.Relation
 	lo, hi database.RowID
+	// state/stateBound are the row-state filter armed for this occurrence
+	// (JoinConfig.RowState): a row with id < len(state) is skipped unless
+	// 0 ≤ state[id] ≤ stateBound. nil state disables the filter.
+	state      []int32
+	stateBound int32
 	// Index handle cache, revalidated by relation identity.
 	ixRel *database.Relation
 	ix    database.Index
@@ -91,7 +90,7 @@ type execLevel struct {
 
 // ruleExec is the per-evaluation execution state of one rule variant's
 // pipeline. It is reused across fixpoint iterations (buffers amortized)
-// and owned by exactly one goroutine; parallel runs build one per worker.
+// and owned by exactly one goroutine.
 type ruleExec struct {
 	ev           *evaluator
 	cr           *compiledRule
@@ -102,20 +101,15 @@ type ruleExec struct {
 	levels       []execLevel
 	frame0       []term.Value
 	headTup      []term.Value
-	// The head sink. A serial run inserts straight into the head
-	// relation (headRel/grew set, emit nil) with full derived-fact
-	// accounting — the single-insert fast path; read windows were
-	// snapshotted by begin(), so mid-run growth is never observed. A
-	// parallel worker instead collects into its private emit relation
-	// (deduplicated, emission-ordered), merged by flushEmit afterward.
+	// headRel/grew are the nil-sink destination: head tuples insert
+	// straight into the head relation with derived-fact accounting; read
+	// windows were snapshotted by begin(), so mid-run growth is never
+	// observed.
 	headRel *database.Relation
 	grew    *bool
-	emit    *database.Relation
 	// empty marks a run whose source or some relation literal resolved
 	// to an empty window: no output is possible.
 	empty bool
-	// workers caches the per-worker clones for parallel runs.
-	workers []*ruleExec
 }
 
 func newRuleExec(ev *evaluator, cr *compiledRule, deltaOcc int) *ruleExec {
@@ -184,8 +178,12 @@ func (ev *evaluator) execFor(cr *compiledRule, deltaOcc int) *ruleExec {
 
 // begin resolves every operator's source for one run: the delta literal
 // gets its RowID window, other relation literals read their full (frozen)
-// relation, and probe levels revalidate their cached index handle.
-func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
+// relation, and probe levels revalidate their cached index handle. cfg,
+// when non-nil, applies the incremental engine's read disciplines to the
+// non-delta occurrences; a side is "prefix" when it precedes the delta
+// occurrence in source-body order (with no delta, every occurrence is
+// suffix).
+func (re *ruleExec) begin(delta map[symtab.Sym]deltaView, cfg *JoinConfig) {
 	ev := re.ev
 	re.empty = false
 	for i := range re.order {
@@ -194,6 +192,7 @@ func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
 		lv.outN = 0
 		switch cl.kind {
 		case litRelation:
+			lv.state = nil
 			if re.deltaBodyIdx >= 0 && cl.bodyIdx == re.deltaBodyIdx {
 				dv := delta[cl.pred]
 				lv.rel, lv.lo, lv.hi = dv.rel, dv.lo, dv.hi
@@ -201,6 +200,9 @@ func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
 				lv.rel, lv.lo, lv.hi = ev.readRel(cl.pred), 0, 0
 				if lv.rel != nil {
 					lv.hi = database.RowID(lv.rel.Len())
+				}
+				if cfg != nil {
+					re.applyConfig(cl, lv, delta, cfg)
 				}
 			}
 			if lv.rel == nil || lv.hi <= lv.lo || lv.rel.Arity() != len(cl.args) {
@@ -220,31 +222,69 @@ func (re *ruleExec) begin(delta map[symtab.Sym]deltaView) {
 	}
 }
 
+// applyConfig arms the read disciplines of cfg on one non-delta relation
+// occurrence. Windowed: an occurrence of a predicate present in the delta
+// map reads rows [0, hi) of the delta's relation on the prefix side and
+// [0, lo) on the suffix side, so each derivation of a round is enumerated
+// exactly once, at its last newest-atom position. Row state: the side's
+// filter is armed when the predicate has a state slice.
+func (re *ruleExec) applyConfig(cl *compiledLit, lv *execLevel, delta map[symtab.Sym]deltaView, cfg *JoinConfig) {
+	prefix := cl.bodyIdx < re.deltaBodyIdx
+	if cfg.Windowed {
+		if wv, ok := delta[cl.pred]; ok {
+			lv.rel, lv.lo, lv.hi = wv.rel, 0, wv.lo
+			if prefix {
+				lv.hi = wv.hi
+			}
+		}
+	}
+	if (prefix && cfg.FilterPrefix) || (!prefix && cfg.FilterSuffix) {
+		if s, ok := cfg.RowState[cl.pred]; ok {
+			lv.state = s
+			lv.stateBound = cfg.SuffixBound
+			if prefix {
+				lv.stateBound = cfg.PrefixBound
+			}
+		}
+	}
+}
+
+// skip reports whether the row-state filter drops row id. Rows past the
+// end of the state slice (appended after it was captured) count as live.
+func (lv *execLevel) skip(id database.RowID) bool {
+	if int(id) >= len(lv.state) {
+		return false
+	}
+	s := lv.state[id]
+	return s < 0 || s > lv.stateBound
+}
+
 // run drives the pipeline: one all-unbound frame enters level 0, full
 // batches stream down eagerly, and drain pushes the partials through.
-func (re *ruleExec) run() error {
+// sink is the run's destination (nil: insert into the head relation).
+func (re *ruleExec) run(sink headSink) error {
 	if re.empty {
 		return nil
 	}
 	for i := range re.frame0 {
 		re.frame0[i] = noValue
 	}
-	if err := re.feed(0, re.frame0, 1); err != nil {
+	if err := re.feed(0, re.frame0, 1, sink); err != nil {
 		return err
 	}
-	return re.drain()
+	return re.drain(sink)
 }
 
 // drain flushes every level's partial output batch downstream, in level
 // order (a flush of level i appends to level i+1's partial, which the
 // loop visits next).
-func (re *ruleExec) drain() error {
+func (re *ruleExec) drain(sink headSink) error {
 	for i := range re.levels {
 		lv := &re.levels[i]
 		if lv.outN > 0 {
 			n := lv.outN
 			lv.outN = 0
-			if err := re.feed(i+1, lv.out, n); err != nil {
+			if err := re.feed(i+1, lv.out, n, sink); err != nil {
 				return err
 			}
 		}
@@ -253,25 +293,25 @@ func (re *ruleExec) drain() error {
 }
 
 // push forwards level i's output batch downstream when it is full.
-func (re *ruleExec) push(i int) error {
+func (re *ruleExec) push(i int, sink headSink) error {
 	lv := &re.levels[i]
 	if lv.outN < batchFrames {
 		return nil
 	}
 	lv.outN = 0
-	return re.feed(i+1, lv.out, batchFrames)
+	return re.feed(i+1, lv.out, batchFrames, sink)
 }
 
 // feed runs operator i over a batch of n input frames. Frames are flat:
 // frame k occupies frames[k*nslots : (k+1)*nslots]. Operators copy each
 // surviving frame into their own output batch, so bindings never need a
 // trail — a failed extension is simply not committed.
-func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
+func (re *ruleExec) feed(i int, frames []term.Value, n int, sink headSink) error {
 	if n == 0 {
 		return nil
 	}
 	if i == len(re.order) {
-		return re.emitHead(frames, n)
+		return re.emitHead(frames, n, sink)
 	}
 	ev := re.ev
 	cl := &re.order[i]
@@ -284,7 +324,7 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 			copy(out, frames[k*ns:(k+1)*ns])
 			if ev.builtinFrame(cl, out) {
 				lv.outN++
-				if err := re.push(i); err != nil {
+				if err := re.push(i, sink); err != nil {
 					return err
 				}
 			}
@@ -301,7 +341,7 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 			out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
 			copy(out, in)
 			lv.outN++
-			if err := re.push(i); err != nil {
+			if err := re.push(i, sink); err != nil {
 				return err
 			}
 		}
@@ -351,6 +391,9 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 			lv.keys = keys
 			lv.matches = lv.ix.ProbeRangeBatch(n, keys, lv.lo, lv.hi, lv.matches[:0])
 			for _, m := range lv.matches {
+				if lv.skip(m.Row) {
+					continue
+				}
 				out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
 				copy(out, frames[int(m.Key)*ns:(int(m.Key)+1)*ns])
 				row := lv.rel.Row(m.Row)
@@ -374,7 +417,7 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 					continue
 				}
 				lv.outN++
-				if err := re.push(i); err != nil {
+				if err := re.push(i, sink); err != nil {
 					return err
 				}
 			}
@@ -392,6 +435,9 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 					}
 				}
 				for id := lv.lo; id < lv.hi; id++ {
+					if lv.skip(id) {
+						continue
+					}
 					out := lv.out[lv.outN*ns : (lv.outN+1)*ns]
 					copy(out, in)
 					row := lv.rel.Row(id)
@@ -406,7 +452,7 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 						continue
 					}
 					lv.outN++
-					if err := re.push(i); err != nil {
+					if err := re.push(i, sink); err != nil {
 						return err
 					}
 				}
@@ -417,9 +463,9 @@ func (re *ruleExec) feed(i int, frames []term.Value, n int) error {
 }
 
 // emitHead instantiates the head for every solution frame and hands the
-// tuples to the run's sink: the head relation itself (serial) or the
-// worker's private emission relation (parallel).
-func (re *ruleExec) emitHead(frames []term.Value, n int) error {
+// tuple to the run's sink: a non-nil callback receives every solution
+// (no deduplication), a nil sink inserts into the head relation.
+func (re *ruleExec) emitHead(frames []term.Value, n int, sink headSink) error {
 	ev := re.ev
 	ns := re.nslots
 	ev.stats.Inferences += int64(n)
@@ -438,8 +484,10 @@ func (re *ruleExec) emitHead(frames []term.Value, n int) error {
 				re.headTup[j] = ev.instantiate(hp, f)
 			}
 		}
-		if re.emit != nil {
-			re.emit.Insert(database.Tuple(re.headTup))
+		if sink != nil {
+			if err := sink(database.Tuple(re.headTup)); err != nil {
+				return err
+			}
 			continue
 		}
 		if re.headRel.Insert(database.Tuple(re.headTup)) {
@@ -488,8 +536,9 @@ func (ev *evaluator) matchFrame(p pat, v term.Value, frame []term.Value) bool {
 	}
 }
 
-// builtinFrame is stepBuiltin without the trail/continuation machinery:
-// it evaluates the builtin against (and binds into) an owned frame copy.
+// builtinFrame evaluates a builtin against (and binds into) an owned frame
+// copy; a bound variable side is at most a plain variable by the ordering
+// precondition.
 func (ev *evaluator) builtinFrame(cl *compiledLit, frame []term.Value) bool {
 	x, y := cl.args[0], cl.args[1]
 	gx, gy := x.groundIn(frame), y.groundIn(frame)
@@ -559,167 +608,12 @@ func (ev *evaluator) builtinFrame(cl *compiledLit, frame []term.Value) bool {
 	}
 }
 
-// flushEmit inserts one emission buffer into the head relation, in
-// emission order, applying the derived-fact accounting, fault-injection
-// hook and budget exactly as the tuple-at-a-time path does per insert.
-func (ev *evaluator) flushEmit(emit *database.Relation, headPred symtab.Sym, grew *bool) error {
-	headRel := ev.derived[headPred]
-	for id := database.RowID(0); int(id) < emit.Len(); id++ {
-		if headRel.Insert(database.Tuple(emit.Row(id))) {
-			ev.stats.DerivedFacts++
-			if err := ev.inject.Hit(faultinject.SiteEngineInsert); err != nil {
-				return err
-			}
-			if n := ev.countFact(); n > ev.maxFacts {
-				return ev.limitErr(limits.KindFacts, n, ev.maxFacts)
-			}
-			if grew != nil {
-				*grew = true
-			}
-		}
-	}
-	return nil
-}
-
-// runRuleBatched evaluates one rule variant through the batched pipeline,
-// partitioning the source window across the worker pool when profitable.
+// runRuleBatched evaluates one rule variant through the pipeline into
+// its head relation.
 func (ev *evaluator) runRuleBatched(cr *compiledRule, deltaOcc int, delta map[symtab.Sym]deltaView, grew *bool) error {
 	re := ev.execFor(cr, deltaOcc)
-	re.begin(delta)
-	if re.empty {
-		return nil
-	}
-	if w := ev.joinWorkerCount(re); w > 1 {
-		return ev.runRuleParallel(re, w, grew)
-	}
+	re.begin(delta, nil)
 	re.headRel = ev.derived[cr.headPred]
 	re.grew = grew
-	return re.run()
-}
-
-// joinWorkerCount decides the partition width for one run: the
-// configured pool size, clamped, and only for flat rules whose source is
-// a relation window wide enough to be worth splitting.
-func (ev *evaluator) joinWorkerCount(re *ruleExec) int {
-	w := ev.opts.JoinWorkers
-	if w <= 1 || !re.cr.flat || len(re.order) == 0 || re.order[0].kind != litRelation {
-		return 1
-	}
-	width := int(re.levels[0].hi - re.levels[0].lo)
-	if width < joinParallelMinRows {
-		return 1
-	}
-	if w > maxJoinWorkers {
-		w = maxJoinWorkers
-	}
-	if w > width {
-		w = width
-	}
-	return w
-}
-
-// runRuleParallel splits the source window of an already-begun run into w
-// contiguous sub-ranges and evaluates them concurrently, each worker on a
-// private pipeline clone with private stats and a private emission
-// buffer, sharing the parent's relations (frozen for the duration), fault
-// injector and atomic fact total. The first error cancels the run's
-// context; the workers drain cooperatively. On success the emission
-// buffers are flushed in partition order — the deterministic merge.
-func (ev *evaluator) runRuleParallel(re *ruleExec, w int, grew *bool) error {
-	parent := ev.ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	runCtx, cancel := context.WithCancelCause(parent)
-	defer cancel(nil)
-	ev.stats.ParallelRuns++
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel(err)
-	}
-
-	if len(re.workers) != w {
-		re.workers = make([]*ruleExec, w)
-	}
-	lo, hi := re.levels[0].lo, re.levels[0].hi
-	width := int(hi - lo)
-	for i := 0; i < w; i++ {
-		wre := re.workers[i]
-		if wre == nil {
-			wev := &evaluator{
-				bank:      ev.bank,
-				db:        ev.db,
-				derived:   ev.derived,
-				arity:     ev.arity,
-				opts:      ev.opts,
-				maxIter:   ev.maxIter,
-				maxFacts:  ev.maxFacts,
-				inject:    ev.inject,
-				factTotal: ev.factTotal,
-			}
-			wre = newRuleExec(wev, re.cr, re.deltaOcc)
-			wre.emit = database.NewRelationSized(len(re.cr.head), ev.sizeHint(re.cr.headPred))
-			re.workers[i] = wre
-		}
-		wev := wre.ev
-		wev.check = limits.NewChecker(runCtx, "engine")
-		wev.ctx = runCtx
-		wev.stats = Stats{}
-		// Share the parent's per-level resolution (relations, windows and
-		// index handles were resolved under begin on this goroutine), then
-		// narrow the source window to this worker's partition.
-		for j := range re.levels {
-			wre.levels[j].rel = re.levels[j].rel
-			wre.levels[j].lo = re.levels[j].lo
-			wre.levels[j].hi = re.levels[j].hi
-			wre.levels[j].ix = re.levels[j].ix
-			wre.levels[j].ixRel = re.levels[j].ixRel
-			wre.levels[j].outN = 0
-		}
-		wre.empty = false
-		wre.levels[0].lo = lo + database.RowID(i*width/w)
-		wre.levels[0].hi = lo + database.RowID((i+1)*width/w)
-		wre.emit.Reset()
-
-		wg.Add(1)
-		go func(wre *ruleExec) {
-			defer wg.Done()
-			// A panic must not cross the goroutine boundary; carry it out
-			// as an error (it resurfaces as *InternalError at the API).
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&limits.PanicError{Component: "engine", Value: r, Stack: debug.Stack()})
-				}
-			}()
-			if err := wre.run(); err != nil {
-				fail(err)
-			}
-		}(wre)
-	}
-	wg.Wait()
-	for i := 0; i < w; i++ {
-		ev.stats.Add(re.workers[i].ev.stats)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ev.check.Check(); err != nil {
-		return err
-	}
-	for i := 0; i < w; i++ {
-		if err := ev.flushEmit(re.workers[i].emit, re.cr.headPred, grew); err != nil {
-			return err
-		}
-	}
-	return nil
+	return re.run(nil)
 }

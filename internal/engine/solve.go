@@ -54,14 +54,13 @@ const (
 // want variables. Prepare once per rule site, Solve once per binding.
 type PreparedSolve struct {
 	m         *Matcher
-	cr        *compiledRule
 	boundVars []symtab.Sym
-	want      []symtab.Sym
-	givenPred symtab.Sym
 	givenRel  *database.Relation
-	derived   map[symtab.Sym]*database.Relation
 	ev        *evaluator
+	re        *ruleExec
 	delta     map[symtab.Sym]deltaView
+	// cfg carries the matcher's row-state filter (nil when unfiltered).
+	cfg *JoinConfig
 }
 
 // Prepare compiles body for repeated evaluation. boundVars lists the
@@ -103,31 +102,24 @@ func (m *Matcher) Prepare(body []ast.Literal, boundVars, want []symtab.Sym) (*Pr
 	}
 	ps := &PreparedSolve{
 		m:         m,
-		cr:        cr,
 		boundVars: boundVars,
-		want:      want,
-		givenPred: givenPred,
 		givenRel:  database.NewRelation(len(boundVars)),
-		derived:   m.derived,
+		ev:        &evaluator{bank: m.bank, db: m.db, derived: m.derived, check: m.check},
 	}
-	ps.ev = &evaluator{bank: m.bank, db: m.db, derived: ps.derived, check: m.check}
+	ps.re = newRuleExec(ps.ev, cr, 0)
+	ps.delta = map[symtab.Sym]deltaView{givenPred: {rel: ps.givenRel, lo: 0, hi: 1}}
 	if m.RowState != nil {
 		// The $given occurrence is the delta (never filtered); every real
 		// body literal follows it, so the suffix filter covers them all.
-		// Both sides are armed anyway for uniformity.
-		ps.ev.rowState = m.RowState
-		ps.ev.filterPrefix = true
-		ps.ev.filterSuffix = true
-		ps.ev.prefixBound = m.RowStateBound
-		ps.ev.suffixBound = m.RowStateBound
+		ps.cfg = &JoinConfig{RowState: m.RowState, FilterSuffix: true, SuffixBound: m.RowStateBound}
 	}
-	ps.delta = map[symtab.Sym]deltaView{givenPred: {rel: ps.givenRel, lo: 0, hi: 1}}
 	return ps, nil
 }
 
 // Solve evaluates the prepared conjunction under the given values for
-// boundVars (in Prepare order) and calls out with the want values for each
-// solution. The out slice is reused across calls.
+// boundVars (in Prepare order) on the batched pipeline and calls out with
+// the want values for each solution. The out slice is reused across
+// calls; out must not re-enter this PreparedSolve.
 func (ps *PreparedSolve) Solve(boundVals []term.Value, out func([]term.Value) error) error {
 	if len(boundVals) != len(ps.boundVars) {
 		return fmt.Errorf("engine: Solve: got %d bound values, want %d", len(boundVals), len(ps.boundVars))
@@ -140,36 +132,10 @@ func (ps *PreparedSolve) Solve(boundVals []term.Value, out func([]term.Value) er
 	ps.givenRel.Insert(database.Tuple(boundVals))
 
 	before := ps.ev.stats.Probes
-	err := ps.ev.join(ps.cr, 0, ps.delta,
-		func(t database.Tuple) error { return out(t) })
+	ps.re.begin(ps.delta, ps.cfg)
+	err := ps.re.run(func(t database.Tuple) error { return out(t) })
 	ps.m.Probes += ps.ev.stats.Probes - before
 	return err
-}
-
-// Solve is the one-shot form: it compiles and evaluates body under the
-// bound map, calling out with the values of want (pre-bound want variables
-// are passed through). Prefer Prepare for hot paths.
-func (m *Matcher) Solve(body []ast.Literal, bound map[symtab.Sym]term.Value, want []symtab.Sym, out func([]term.Value) error) error {
-	boundVars := make([]symtab.Sym, 0, len(bound))
-	for v := range bound {
-		boundVars = append(boundVars, v)
-	}
-	// Deterministic order for reproducibility.
-	syms := m.bank.Symbols()
-	for i := 1; i < len(boundVars); i++ {
-		for j := i; j > 0 && syms.String(boundVars[j]) < syms.String(boundVars[j-1]); j-- {
-			boundVars[j], boundVars[j-1] = boundVars[j-1], boundVars[j]
-		}
-	}
-	ps, err := m.Prepare(body, boundVars, want)
-	if err != nil {
-		return err
-	}
-	vals := make([]term.Value, len(boundVars))
-	for i, v := range boundVars {
-		vals[i] = bound[v]
-	}
-	return ps.Solve(vals, out)
 }
 
 // MatchTerms unifies a list of patterns (possibly sharing variables)

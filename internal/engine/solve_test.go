@@ -214,11 +214,16 @@ func TestPreparedSolveDerivedOverlay(t *testing.T) {
 	}
 }
 
+// TestMatcherOneShotSolve covers a single solve under a map binding, the
+// shape the removed one-shot Matcher.Solve served, through Prepare+Solve.
 func TestMatcherOneShotSolve(t *testing.T) {
 	f := newSolveFixture(t, "up(a,b). up(b,c).")
-	bound := map[symtab.Sym]term.Value{f.syms("X")[0]: f.val("a")}
+	ps, err := f.m.Prepare(f.body(t, "up(X,Y)"), f.syms("X"), f.syms("Y"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	err := f.m.Solve(f.body(t, "up(X,Y)"), bound, f.syms("Y"), func(vals []term.Value) error {
+	err = ps.Solve([]term.Value{f.val("a")}, func(vals []term.Value) error {
 		got = append(got, f.bank.Format(vals[0]))
 		return nil
 	})
@@ -230,6 +235,36 @@ func TestMatcherOneShotSolve(t *testing.T) {
 	}
 	if f.m.Solves == 0 {
 		t.Error("Solves counter not incremented")
+	}
+}
+
+// TestPreparedSolveZeroAlloc guards the counting runtime's hot call: a
+// warmed PreparedSolve on a two-literal body, with a callback capturing
+// caller state, allocates nothing per call. Storing the callback anywhere
+// the compiler cannot prove short-lived moves it to the heap and breaks
+// this.
+func TestPreparedSolveZeroAlloc(t *testing.T) {
+	f := newSolveFixture(t, "up(a,b). up(a,c). up(b,d). flat(b,x). flat(c,y). flat(d,z).")
+	ps, err := f.m.Prepare(f.body(t, "up(X,Y), flat(Y,Z)"), f.syms("X"), f.syms("Z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := []term.Value{f.val("a")}
+	n := 0
+	solve := func() {
+		if err := ps.Solve(bound, func(vals []term.Value) error {
+			n += len(vals)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // build the probe indexes
+	if n != 2 {
+		t.Fatalf("solutions = %d, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(100, solve); allocs != 0 {
+		t.Errorf("Solve allocates %.1f per call, want 0", allocs)
 	}
 }
 
